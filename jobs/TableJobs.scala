@@ -6,7 +6,8 @@ import repro.tables.Tables
 /** spark-submit entrypoints, one per reproduced table (see DESIGN.md).
   * They are driver-only programs (the cluster substrate is the simulator),
   * so they run equally under `spark-submit --class repro.jobs.Table8Job` or
-  * `sbt "runMain repro.jobs.Table8Job"`.
+  * `sbt "runMain repro.jobs.Table8Job"`. Each prints the same text as its
+  * bench suite.
   */
 private object TableJobsShared {
   val sim = new Simulator(Hardware.ClusterA)
@@ -14,53 +15,28 @@ private object TableJobsShared {
 
 object Table4Job {
   def main(args: Array[String]): Unit =
-    println(Tables.render("Table 4 — MaxResourceAllocation + framework defaults (Cluster A)",
-      Seq("Parameter", "Value"),
-      Tables.table4(Hardware.ClusterA).map { case (k, v) => Seq(k, v) }))
+    println(Tables.renderTable4(Tables.table4(Hardware.ClusterA)))
 }
 
 object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val rows = Tables.table5(TableJobsShared.sim)
-    println(Tables.render("Table 5 — Manual tuning of PageRank",
-      Seq("Containers", "P", "Cache", "NR", "Runtime(min)", "CacheHit", "GC", "Status"),
-      rows.map(r => Seq(r.containers.toString, r.p.toString, f"${r.cacheCap}%.1f",
-        r.nr.toString, f"${r.result.runtimeMin}%.1f", f"${r.result.cacheHitRatio}%.2f",
-        f"${r.result.gcOverhead}%.2f",
-        if (r.result.aborted) "aborted" else s"${r.result.failedContainers} failures"))))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderTable5(Tables.table5(TableJobsShared.sim)))
 }
 
 object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val st = Tables.table6(TableJobsShared.sim)
-    println(Tables.render("Table 6 — Statistics from the PageRank profile",
-      Seq("Notation", "Value"),
-      Seq(
-        Seq("N", st.n.toString), Seq("M_h", f"${st.mhMb}%.0fMB"),
-        Seq("CPU_avg", f"${st.cpuAvgPct}%.0f%%"), Seq("Disk_avg", f"${st.diskAvgPct}%.0f%%"),
-        Seq("M_i", f"${st.miMb}%.0fMB"), Seq("M_c", f"${st.mcMb}%.0fMB"),
-        Seq("M_s", f"${st.msMb}%.0fMB"), Seq("M_u", f"${st.muMb}%.0fMB"),
-        Seq("P", st.p.toString), Seq("H", f"${st.h}%.2f"), Seq("S", f"${st.s}%.2f"))))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderTable6(Tables.table6(TableJobsShared.sim)))
 }
 
 object Table7Job {
   def main(args: Array[String]): Unit =
-    println(Tables.render("Table 7 — LHS samples used in BO initialization",
-      Seq("Containers", "TaskConcurrency", "Cache/Shuffle Capacity", "NewRatio"),
-      Tables.table7(Hardware.ClusterA).map(c =>
-        Seq(c.containersPerNode.toString, c.taskConcurrency.toString,
-          f"${math.max(c.cacheCap, c.shuffleCap)}%.2f", c.newRatio.toString))))
+    println(Tables.renderTable7(Tables.table7(Hardware.ClusterA)))
 }
 
 object Table8Job {
   def main(args: Array[String]): Unit = {
     val t8 = Tables.table8(TableJobsShared.sim)
-    println(Tables.render("Table 8 — Recommendations of every tuning policy",
-      Seq("App", "Policy", "Conf", "Runtime(min)", "Fail", "Iters"),
-      t8.rows.map(r => Seq(r.app, r.policy, Tables.fmtConf(r.conf),
-        f"${r.runtimeMin}%.1f", r.failedContainers.toString, r.iterations.toString))))
+    println(Tables.renderTable8(t8))
     for (a <- AppModel.clusterASuite.map(_.name))
       println(f"$a%-10s default=${t8.defaultRuns(a).runtimeMin}%.1fmin " +
         f"exhaustive-5%%ile=${t8.top5PctileMin(a)}%.1fmin")
@@ -69,32 +45,18 @@ object Table8Job {
 
 object Table9Job {
   def main(args: Array[String]): Unit =
-    println(Tables.render("Table 9 — Log of a BO run for SVM",
-      Seq("Sample#", "Conf", "Runtime (min)"),
-      Tables.table9(TableJobsShared.sim).map { case (i, o) =>
-        Seq(if (i == 0) "0 (LHS)" else i.toString, Tables.fmtConf(o.conf),
-          f"${o.result.runtimeMin}%.1f") }))
+    println(Tables.renderTable9(Tables.table9(TableJobsShared.sim)))
 }
 
 object Table10Job {
-  def main(args: Array[String]): Unit = {
-    val rows = Tables.table10(TableJobsShared.sim)
-    println(Tables.render("Table 10 — Tuning algorithm overheads",
-      Seq("Component", "DDPG", "BO", "GBO", "RelM"),
-      Seq(
-        Seq("Statistics Collection (ms)") ++ rows.map(r => f"${r.statsCollectMs}%.3f"),
-        Seq("Model Fitting (ms)") ++ rows.map(r => f"${r.fitMs}%.3f"),
-        Seq("Model Probing (ms)") ++ rows.map(r => f"${r.probeMs}%.3f"),
-        Seq("Model Size (bytes)") ++ rows.map(r =>
-          if (r.modelSizeBytes == 0) "-" else r.modelSizeBytes.toString))))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderTable10(Tables.table10(TableJobsShared.sim)))
 }
 
 /** Fig 21 headline: TPC-H on Cluster B, MaxResourceAllocation vs RelM. */
 object TpchRelMJob {
   def main(args: Array[String]): Unit = {
     val (default, tuned) = Tables.tpchHeadline()
-    println(f"TPC-H Cluster B  default=${default.runtimeMin}%.1f min (paper 66)  " +
-      f"RelM=${tuned.runtimeMin}%.1f min (paper 40)  conf=${tuned.conf}")
+    println(Tables.renderFig21(default, tuned))
   }
 }

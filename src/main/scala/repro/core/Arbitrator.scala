@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.sim.MemoryConf
+
 /** Final arbitrated configuration for one candidate container size.
   *
   * @param utility  U = (M_i + m_c + p·(M_u + m_s)) / m_h  (Algorithm 1, l.13)
@@ -36,11 +38,6 @@ object Arbitrator {
 
   private val maxIterations = 500
 
-  def oldMb(mh: Double, nr: Int): Double = mh * nr / (nr + 1.0)
-
-  def edenMb(mh: Double, nr: Int, sr: Int): Double =
-    mh / (nr + 1.0) * (sr - 2.0) / sr
-
   /** Returns None when even one task cannot run within heap (line 1-3), or
     * when no action can establish safety (degenerate stall).
     */
@@ -63,7 +60,7 @@ object Arbitrator {
     var stalled = 0
 
     def demand: Double = st.miMb + p * st.muMb + mc
-    def mo: Double = oldMb(mhMb, nr)
+    def mo: Double = MemoryConf.oldMb(mhMb, nr)
     def unsafe: Boolean = demand > mo || demand > fitCapMb
 
     while (unsafe && iter < maxIterations && stalled < 3) {
@@ -79,9 +76,9 @@ object Arbitrator {
         case 2 => // III. grow Old by M_u (toward demand, within (1−δ)·m_h)
           val target = math.min(mo + st.muMb, demand)
           val candidates = ((nr + 1) to Initializer.maxNewRatio)
-            .filter(r => oldMb(mhMb, r) <= (1.0 - delta) * mhMb)
-          val fit = candidates.find(r => oldMb(mhMb, r) >= target)
-            .orElse(candidates.lastOption.filter(r => oldMb(mhMb, r) > mo))
+            .filter(r => MemoryConf.oldMb(mhMb, r) <= (1.0 - delta) * mhMb)
+          val fit = candidates.find(r => MemoryConf.oldMb(mhMb, r) >= target)
+            .orElse(candidates.lastOption.filter(r => MemoryConf.oldMb(mhMb, r) > mo))
           fit match {
             case Some(r) => nr = r; true
             case None    => false
@@ -94,7 +91,7 @@ object Arbitrator {
     if (unsafe) return None // no safe configuration at this size
 
     // Line 11: shuffle capped at half the per-task Eden share (Obs 7).
-    ms = math.min(ms, 0.5 * edenMb(mhMb, nr, sr) / p)
+    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr, sr) / p)
 
     // Line 13: utility = productive fraction of heap.
     val u = (st.miMb + mc + p * (st.muMb + ms)) / mhMb

@@ -29,10 +29,7 @@ final class BayesOpt(space: ConfigSpace,
   /** Feature vector: knob encoding, plus q1..q3 when guided. */
   def features(c: MemoryConf): Array[Double] = guide match {
     case None => space.encode(c)
-    case Some(st) =>
-      val q = QModel.derive(st, c)
-      // Clip the guide metrics: their informative range is [0, ~3].
-      space.encode(c) ++ q.toArray.map(v => math.min(3.0, math.max(0.0, v)) / 3.0)
+    case Some(st) => space.encode(c) ++ QModel.derive(st, c).scaled
   }
 
   /** Expected Improvement for minimization (Eq 7, with τ the incumbent). */

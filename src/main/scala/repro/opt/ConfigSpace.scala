@@ -1,5 +1,6 @@
 package repro.opt
 
+import repro.core.Initializer
 import repro.sim.{AppModel, Hardware, MemoryConf}
 
 /** The discretized knob space the black-box tuners explore (paper Sec 6.1):
@@ -11,7 +12,7 @@ final class ConfigSpace(val hw: Hardware, val app: AppModel) {
 
   val minorCap: Double = 0.1
   val capGrid: Seq[Double] = (1 to 16).map(_ * 0.05) // 0.05 .. 0.80
-  val nrGrid: Seq[Int] = 1 to 9
+  val nrGrid: Seq[Int] = 1 to Initializer.maxNewRatio
 
   /** Materialize a point as a MemoryConf, routing the tuned capacity to the
     * application's dominant pool.
@@ -34,7 +35,7 @@ final class ConfigSpace(val hw: Hardware, val app: AppModel) {
     c.containersPerNode.toDouble / hw.containerChoices.max,
     c.taskConcurrency.toDouble / hw.coresPerNode,
     math.max(c.cacheCap, c.shuffleCap),
-    c.newRatio.toDouble / 9.0,
+    c.newRatio.toDouble / Initializer.maxNewRatio,
   )
 
   /** Map unit-cube coordinates to a grid point (used by LHS and DDPG). */

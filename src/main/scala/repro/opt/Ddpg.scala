@@ -37,14 +37,12 @@ final class Ddpg(space: ConfigSpace,
   /** Observation → normalized state vector. */
   def state(o: Observation): Array[Double] = {
     val st = StatsGenerator.fromProfile(o.result.profile)
-    val q = QModel.derive(st, o.conf)
-    def cl(x: Double) = math.min(3.0, math.max(0.0, x)) / 3.0
     Array(
       st.cpuAvgPct / 100.0, st.diskAvgPct / 100.0,
       st.miMb / st.mhMb, st.mcMb / st.mhMb, st.msMb / st.mhMb,
       math.min(1.0, st.muMb / st.mhMb),
-      st.h, st.s, cl(q.q1), cl(q.q2), cl(q.q3),
-    )
+      st.h, st.s,
+    ) ++ QModel.derive(st, o.conf).scaled
   }
 
   /** CDBTune reward: positive when beating the initial performance, scaled

@@ -17,6 +17,8 @@ object BenchBase {
 abstract class BenchSuite extends AnyFunSuite {
   def hw: Hardware = BenchBase.hw
   def sim: Simulator = BenchBase.sim
-  /** Print a reproduced table so `bench_output.txt` carries the numbers. */
+  /** Print a reproduced table so the output of
+    * `sbt "testOnly repro.bench.*"` carries the numbers.
+    */
   def emit(s: String): Unit = { println(s); println() }
 }

@@ -11,11 +11,7 @@ class Table7LhsBench extends BenchSuite {
   private lazy val samples = Tables.table7(hw)
 
   test("Table 7 prints our LHS bootstrap draw") {
-    emit(Tables.render(
-      "Table 7 — LHS bootstrap samples (paper draw: n=1..4, p∈{4,1,2,2}, cap∈{.6,.4,.2,.8}, NR∈{7,3,5,1})",
-      Seq("Containers", "TaskConcurrency", "Cache/Shuffle Capacity", "NewRatio"),
-      samples.map(c => Seq(c.containersPerNode.toString, c.taskConcurrency.toString,
-        f"${math.max(c.cacheCap, c.shuffleCap)}%.2f", c.newRatio.toString))))
+    emit(Tables.renderTable7(samples))
     assert(samples.size == 4)
   }
 

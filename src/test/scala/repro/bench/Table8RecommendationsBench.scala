@@ -7,7 +7,7 @@ import repro.tables.Tables
   * the aggregate quality/overhead claims of Figs 16-17:
   *  - RelM is safe everywhere and lands in the top-5%ile of the exhaustive
   *    distribution with one or two profiled runs;
-  *  - BO/GBO need a few percent of the exhaustive effort;
+  *  - BO/GBO/DDPG need a fraction of the exhaustive effort;
   *  - the tuned configurations beat MaxResourceAllocation substantially.
   * Fig 21's TPC-H headline (66 → 40 min) is asserted at the end.
   */
@@ -18,11 +18,7 @@ class Table8RecommendationsBench extends BenchSuite {
   private val policies = Seq("Exhaustive", "DDPG", "BO", "GBO", "RelM")
 
   test("Table 8 prints every policy's recommendation per application") {
-    emit(Tables.render("Table 8 — Recommendations (runtime minutes; iterations = stress tests paid)",
-      Seq("App", "Policy", "Conf", "Runtime", "Fail", "Iters"),
-      for (a <- apps; p <- policies; r = t8.row(a, p))
-        yield Seq(a, p, Tables.fmtConf(r.conf), f"${r.runtimeMin}%.1f",
-          r.failedContainers.toString, r.iterations.toString)))
+    emit(Tables.renderTable8(t8))
     assert(t8.rows.size == apps.size * policies.size)
   }
 
@@ -56,7 +52,9 @@ class Table8RecommendationsBench extends BenchSuite {
     }
   }
 
-  test("Fig 16: regression policies need <15% of the exhaustive effort") {
+  // The paper reports < 15%; K-means BO and PageRank BO/GBO pay
+  // 30/192 = 15.6% here (see EXPERIMENTS.md), so the bound asserted is 25%.
+  test("Fig 16: BO, GBO and DDPG each pay < 25% of the exhaustive search's stress tests") {
     for (a <- apps; p <- Seq("BO", "GBO", "DDPG")) {
       val frac = t8.row(a, p).iterations.toDouble / t8.row(a, "Exhaustive").iterations
       assert(frac < 0.25, s"$a/$p: $frac")
@@ -97,10 +95,7 @@ class Table8RecommendationsBench extends BenchSuite {
 
   test("Fig 21: TPC-H on Cluster B — RelM cuts the default runtime (paper 66→40 min)") {
     val (default, tuned) = Tables.tpchHeadline()
-    emit(Tables.render("Fig 21 — TPC-H (Cluster B)",
-      Seq("Policy", "Runtime (min)", "Paper (min)"),
-      Seq(Seq("MaxResourceAllocation", f"${default.runtimeMin}%.1f", "66"),
-          Seq("RelM", f"${tuned.runtimeMin}%.1f", "40"))))
+    emit(Tables.renderFig21(default, tuned))
     assert(tuned.safe)
     val ratio = tuned.runtimeSec / default.runtimeSec
     assert(ratio < 0.75 && ratio > 0.3, s"ratio=$ratio (paper 0.61)")

@@ -10,11 +10,7 @@ class Table9BoLogBench extends BenchSuite {
   private lazy val log = Tables.table9(sim)
 
   test("Table 9 prints the BO run log for SVM") {
-    emit(Tables.render("Table 9 — BO run log, SVM (paper: 4 LHS + 6 adaptive, 13→6.5 min)",
-      Seq("Sample#", "Conf", "Runtime (min)"),
-      log.map { case (i, o) =>
-        Seq(if (i == 0) "0 (LHS)" else i.toString, Tables.fmtConf(o.conf),
-          f"${o.result.runtimeMin}%.1f") }))
+    emit(Tables.renderTable9(log))
     assert(log.nonEmpty)
   }
 

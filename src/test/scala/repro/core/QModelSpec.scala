@@ -63,10 +63,14 @@ class QModelSpec extends AnyFunSuite {
 
   test("modeled requirements match Eqs 1-2 used by the Initializer") {
     val ic = Initializer.init(pageRankStats, 1, 4404, 8)
-    assert(math.abs(QModel.modeledCacheMb(pageRankStats, 4404) - ic.mcMb) < 1e-6)
+    assert(math.abs(Initializer.cacheMb(pageRankStats, 4404, RelM.delta) - ic.mcMb) < 1e-6)
     val st = sortStats
     val ic2 = Initializer.init(st, 1, 4404, 8)
-    assert(math.abs(QModel.modeledShuffleMb(st, 4404) - ic2.msMb) < 1e-6)
+    assert(math.abs(Initializer.shuffleMb(st, 4404, RelM.delta) - ic2.msMb) < 1e-6)
+    // q2 divides the Eq-1 requirement by the configured cache (below Old here).
+    val c = conf(1, 1, 0.6, 0.0, 2)
+    val q2 = (pageRankStats.miMb + ic.mcMb) / (c.cacheCap * c.heapMb)
+    assert(math.abs(QModel.derive(pageRankStats, c).q2 - q2) < 1e-9)
   }
 
   test("metrics are finite on degenerate configurations") {
