@@ -1,8 +1,9 @@
 package repro
 
+import java.nio.file.Files
 import java.sql.DriverManager
+import org.apache.commons.io.FileUtils
 import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *
@@ -10,6 +11,10 @@ import scala.jdk.CollectionConverters._
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
+  *
+  * Each table reaches DuckDB as Parquet written by Spark, so its columns
+  * keep Spark's types (BIGINT, INT, DOUBLE, DATE, VARCHAR) and the SQL
+  * needs no casts.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -36,21 +41,13 @@ object Oracle {
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
+    val dir  = Files.createTempDirectory("repro-oracle-")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val path = dir.resolve(name).toString
+        df.write.parquet(path)
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
-        )
-        // Collect once; this is an oracle, not a bench — keep tables small.
-        val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
-        )
-        df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
-          ps.addBatch()
-        }
-        ps.executeBatch(); ps.close()
+          s"CREATE TABLE $name AS SELECT * FROM read_parquet('$path/*.parquet')")
       }
       val rs   = conn.createStatement.executeQuery(sql)
       val meta = rs.getMetaData
@@ -72,6 +69,9 @@ object Oracle {
         s"  first spark-only: ${got.diff(exp).take(3)}\n" +
         s"  first duck-only:  ${exp.diff(got).take(3)}"
       )
-    } finally conn.close()
+    } finally {
+      conn.close()
+      FileUtils.deleteDirectory(dir.toFile)
+    }
   }
 }

@@ -1,14 +1,16 @@
 package repro
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
 /** Synthetic OLAP data at a configurable scale factor.
   *
   * SF=1.0 is roughly TPC-H SF1 (~1 GB across tables). Tests use SF<=0.01;
-  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed) so
-  * the DuckDB oracle sees identical input.
+  * benchmarks use SF~=0.1. Generators are deterministic in (sf, seed): every
+  * random column is a hash of the row's key and a stream number, so the rows
+  * do not depend on how Spark partitions the input, and every host and the
+  * DuckDB oracle see identical data.
   */
 object SynthData {
   private val NLineitemPerSf = 6_000_000L
@@ -18,69 +20,81 @@ object SynthData {
 
   private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
 
+  /** Uniform draw in [0, 1) from the top 53 bits of `xxhash64(key, stream)`. */
+  private def uniform(key: Column, stream: Long): Column =
+    shiftrightunsigned(xxhash64(key, lit(stream)), 11).cast(DoubleType) / lit(1L << 53)
+
+  /** Standard normal draw: Box–Muller over two uniform streams. */
+  private def normal(key: Column, stream1: Long, stream2: Long): Column =
+    sqrt(lit(-2.0) * log(lit(1.0) - uniform(key, stream1))) * cos(lit(2 * math.Pi) * uniform(key, stream2))
+
   def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame = {
     import spark.implicits._
     val nOrders = n(NOrdersPerSf, sf); val nPart = n(NPartPerSf, sf)
+    val u = (stream: Long) => uniform($"id", seed + stream)
     spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed)     * nOrders + 1).cast(LongType)    as "l_orderkey",
-      (rand(seed + 1) * nPart   + 1).cast(LongType)    as "l_partkey",
-      (rand(seed + 2) * 7 + 1).cast(IntegerType)       as "l_linenumber",
-      (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-      round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-      round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-      round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
+      (u(0) * nOrders + 1).cast(LongType)         as "l_orderkey",
+      (u(1) * nPart   + 1).cast(LongType)         as "l_partkey",
+      (u(2) * 7 + 1).cast(IntegerType)            as "l_linenumber",
+      (u(3) * 50 + 1).cast(DoubleType)            as "l_quantity",
+      round(u(4) * 90000 + 900, 2)                as "l_extendedprice",
+      round(u(5) * 0.10, 2)                       as "l_discount",
+      round(u(6) * 0.08, 2)                       as "l_tax",
       element_at(array(lit("N"), lit("R"), lit("A")),
-                 (rand(seed + 7) * 3 + 1).cast("int")) as "l_returnflag",
+                 (u(7) * 3 + 1).cast("int"))      as "l_returnflag",
       element_at(array(lit("O"), lit("F")),
-                 (rand(seed + 8) * 2 + 1).cast("int")) as "l_linestatus",
+                 (u(8) * 2 + 1).cast("int"))      as "l_linestatus",
       date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 9) * 2557).cast("int"))    as "l_shipdate",
+               (u(9) * 2557).cast("int"))         as "l_shipdate",
     )
   }
 
   def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame = {
     import spark.implicits._
     val nCust = n(NCustomerPerSf, sf)
+    val u = (stream: Long) => uniform($"o_orderkey", seed + stream)
     spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
       $"o_orderkey",
-      (rand(seed)     * nCust + 1).cast(LongType)             as "o_custkey",
+      (u(0) * nCust + 1).cast(LongType)           as "o_custkey",
       element_at(array(lit("O"), lit("F"), lit("P")),
-                 (rand(seed + 1) * 3 + 1).cast("int"))         as "o_orderstatus",
-      round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
+                 (u(1) * 3 + 1).cast("int"))      as "o_orderstatus",
+      round(u(2) * 500000 + 1000, 2)              as "o_totalprice",
       date_add(lit("1992-01-01").cast(DateType),
-               (rand(seed + 3) * 2406).cast("int"))            as "o_orderdate",
+               (u(3) * 2406).cast("int"))         as "o_orderdate",
     )
   }
 
   def customer(spark: SparkSession, sf: Double = 0.01, seed: Long = 2): DataFrame = {
     import spark.implicits._
+    val u = (stream: Long) => uniform($"c_custkey", seed + stream)
     spark.range(1, n(NCustomerPerSf, sf) + 1).toDF("c_custkey").select(
       $"c_custkey",
-      (rand(seed) * 25).cast(IntegerType)                as "c_nationkey",
-      round(rand(seed + 1) * 10000 - 1000, 2)            as "c_acctbal",
+      (u(0) * 25).cast(IntegerType)               as "c_nationkey",
+      round(u(1) * 10000 - 1000, 2)               as "c_acctbal",
       element_at(array(lit("BUILDING"), lit("AUTOMOBILE"), lit("MACHINERY"),
                        lit("HOUSEHOLD"), lit("FURNITURE")),
-                 (rand(seed + 2) * 5 + 1).cast("int"))   as "c_mktsegment",
+                 (u(2) * 5 + 1).cast("int"))      as "c_mktsegment",
     )
   }
 
   def part(spark: SparkSession, sf: Double = 0.01, seed: Long = 5): DataFrame = {
     import spark.implicits._
+    val u = (stream: Long) => uniform($"p_partkey", seed + stream)
     spark.range(1, n(NPartPerSf, sf) + 1).toDF("p_partkey").select(
       $"p_partkey",
       element_at(array(lit("STANDARD"), lit("SMALL"), lit("MEDIUM"),
                        lit("LARGE"), lit("ECONOMY"), lit("PROMO")),
-                 (rand(seed) * 6 + 1).cast("int"))              as "p_type",
-      (rand(seed + 1) * 50 + 1).cast(IntegerType)               as "p_size",
-      round(lit(900.0) + ($"p_partkey" % 1000) / 10.0, 2)       as "p_retailprice",
+                 (u(0) * 6 + 1).cast("int"))      as "p_type",
+      (u(1) * 50 + 1).cast(IntegerType)           as "p_size",
+      round(lit(900.0) + ($"p_partkey" % 1000) / 10.0, 2) as "p_retailprice",
     )
   }
 
   def uniformKeys(spark: SparkSession, rows: Long, nKeys: Long, seed: Long = 4): DataFrame = {
     import spark.implicits._
     spark.range(rows).select(
-      (rand(seed) * nKeys + 1).cast(LongType) as "k",
-      rand(seed + 1)                          as "v",
+      (uniform($"id", seed) * nKeys + 1).cast(LongType) as "k",
+      uniform($"id", seed + 1)                          as "v",
     )
   }
 
@@ -94,7 +108,7 @@ object SynthData {
                 vocab: Int = 200, seed: Long = 6): DataFrame = {
     import spark.implicits._
     val word = (i: Int) =>
-      concat(lit("w"), ((rand(seed + i) * vocab).cast(IntegerType)).cast(StringType))
+      concat(lit("w"), ((uniform($"id", seed + i) * vocab).cast(IntegerType)).cast(StringType))
     spark.range(lines).select(
       concat_ws(" ", (0 until wordsPerLine).map(word): _*) as "line"
     )
@@ -106,10 +120,10 @@ object SynthData {
   def edges(spark: SparkSession, nEdges: Long, nNodes: Long, seed: Long = 7): DataFrame = {
     import spark.implicits._
     val zipfDst = least(lit(nNodes), greatest(lit(1L),
-      pow(lit(1.0) / (rand(seed + 1) + 1e-9), lit(1.0 / 1.3)).cast(LongType)))
+      pow(lit(1.0) / (uniform($"id", seed + 1) + 1e-9), lit(1.0 / 1.3)).cast(LongType)))
     spark.range(nEdges).select(
-      (rand(seed) * nNodes + 1).cast(LongType) as "src",
-      zipfDst                                  as "dst",
+      (uniform($"id", seed) * nNodes + 1).cast(LongType) as "src",
+      zipfDst                                            as "dst",
     ).where($"src" =!= $"dst")
   }
 
@@ -119,14 +133,14 @@ object SynthData {
   def points(spark: SparkSession, n: Long, k: Int, spread: Double = 0.5,
              seed: Long = 8): DataFrame = {
     import spark.implicits._
-    val cluster = (rand(seed) * k).cast(IntegerType)
+    val cluster = (uniform($"id", seed) * k).cast(IntegerType)
     spark.range(n).select(
       $"id",
       cluster as "trueCluster",
     ).select(
       $"id", $"trueCluster",
-      ($"trueCluster" % 3) * 10.0 + randn(seed + 1) * spread        as "x0",
-      floor($"trueCluster" / 3) * 10.0 + randn(seed + 2) * spread   as "x1",
+      ($"trueCluster" % 3) * 10.0 + normal($"id", seed + 1, seed + 2) * spread      as "x0",
+      floor($"trueCluster" / 3) * 10.0 + normal($"id", seed + 3, seed + 4) * spread as "x1",
     )
   }
 
@@ -136,9 +150,9 @@ object SynthData {
   def labeledPoints(spark: SparkSession, n: Long, seed: Long = 9): DataFrame = {
     import spark.implicits._
     val df = spark.range(n).select(
-      randn(seed)     as "x0",
-      randn(seed + 1) as "x1",
-      randn(seed + 2) as "x2",
+      normal($"id", seed, seed + 1)     as "x0",
+      normal($"id", seed + 2, seed + 3) as "x1",
+      normal($"id", seed + 4, seed + 5) as "x2",
     )
     // True separator w = (1, -2, 0.5) with a margin band removed.
     val m = df.col("x0") - df.col("x1") * 2.0 + df.col("x2") * 0.5

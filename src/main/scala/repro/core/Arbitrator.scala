@@ -41,10 +41,9 @@ object Arbitrator {
   /** Returns None when even one task cannot run within heap (line 1-3), or
     * when no action can establish safety (degenerate stall).
     */
-  def arbitrate(st: Stats, n: Int, mhMb: Double, init: InitConf,
-                delta: Double = 0.1, sr: Int = 8): Option[Arbitrated] = {
+  def arbitrate(st: Stats, n: Int, mhMb: Double, init: InitConf): Option[Arbitrated] = {
     // Line 1: bare minimum — one task's memory must fit.
-    if (st.miMb + st.muMb > (1.0 - delta) * mhMb) return None
+    if (st.miMb + st.muMb > (1.0 - RelM.delta) * mhMb) return None
 
     // Physical feasibility floor: on small heaps Old can reach ~0.9·m_h, so
     // "demand ≤ m_o" alone would admit plans that cannot coexist with the
@@ -76,7 +75,7 @@ object Arbitrator {
         case 2 => // III. grow Old by M_u (toward demand, within (1−δ)·m_h)
           val target = math.min(mo + st.muMb, demand)
           val candidates = ((nr + 1) to Initializer.maxNewRatio)
-            .filter(r => MemoryConf.oldMb(mhMb, r) <= (1.0 - delta) * mhMb)
+            .filter(r => MemoryConf.oldMb(mhMb, r) <= (1.0 - RelM.delta) * mhMb)
           val fit = candidates.find(r => MemoryConf.oldMb(mhMb, r) >= target)
             .orElse(candidates.lastOption.filter(r => MemoryConf.oldMb(mhMb, r) > mo))
           fit match {
@@ -91,7 +90,7 @@ object Arbitrator {
     if (unsafe) return None // no safe configuration at this size
 
     // Line 11: shuffle capped at half the per-task Eden share (Obs 7).
-    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr, sr) / p)
+    ms = math.min(ms, 0.5 * MemoryConf.edenMb(mhMb, nr, MemoryConf.defaultSurvivorRatio) / p)
 
     // Line 13: utility = productive fraction of heap.
     val u = (st.miMb + mc + p * (st.muMb + ms)) / mhMb

@@ -44,7 +44,8 @@ object Initializer {
     *
     * @param maxP hard concurrency bound (cores / containers per node)
     */
-  def init(st: Stats, n: Int, mhMb: Double, maxP: Int, delta: Double = 0.1): InitConf = {
+  def init(st: Stats, n: Int, mhMb: Double, maxP: Int): InitConf = {
+    val delta = RelM.delta
     val mc = cacheMb(st, mhMb, delta)
     val ms = shuffleMb(st, mhMb, delta)
 

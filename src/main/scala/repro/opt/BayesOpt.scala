@@ -18,11 +18,12 @@ import repro.sim.MemoryConf
   */
 final class BayesOpt(space: ConfigSpace,
                      guide: Option[Stats] = None,
-                     initSamples: Int = 4,
-                     minAdaptive: Int = 6,
-                     eiThreshold: Double = 0.10,
-                     maxIterations: Int = 26,
                      seed: Long = 42L) {
+
+  private val initSamples = 4
+  private val minAdaptive = 6
+  private val eiThreshold = 0.10
+  private val maxIterations = 26
 
   val policyName: String = if (guide.isDefined) "GBO" else "BO"
 
@@ -48,30 +49,41 @@ final class BayesOpt(space: ConfigSpace,
     if (x >= 0) y else -y
   }
 
+  /** The surrogate: a GP fitted on `hist`'s features and objectives. */
+  def fit(hist: Seq[Observation]): GaussianProcess = {
+    val gp = new GaussianProcess()
+    gp.fit(hist.map(o => features(o.conf)).toArray, hist.map(_.objective).toArray)
+    gp
+  }
+
+  /** The grid point `hist` has not probed with the highest Expected
+    * Improvement under `gp`, and that EI; None once every point is probed.
+    */
+  def nextProbe(gp: GaussianProcess, hist: Seq[Observation]): Option[(MemoryConf, Double)] = {
+    val tau = hist.map(_.objective).min
+    val seen = hist.map(_.conf).toSet
+    val cands = space.all.filterNot(seen.contains)
+    Option.when(cands.nonEmpty) {
+      cands.iterator
+        .map { c => val (m, s) = gp.predict(features(c)); (c, expectedImprovement(m, s, tau)) }
+        .maxBy(_._2)
+    }
+  }
+
   def tune(env: TuningEnv): TuningTrace = {
-    val init = space.lhs(initSamples, seed)
-    init.foreach(env.evaluate)
+    space.lhs(initSamples, seed).foreach(env.evaluate)
 
     var adaptive = 0
     var continue = true
     while (continue && adaptive < maxIterations) {
       val hist = env.history
-      val x = hist.map(o => features(o.conf)).toArray
-      val y = hist.map(_.objective).toArray
-      val gp = new GaussianProcess()
-      gp.fit(x, y)
-      val tau = y.min
-
-      val seen = hist.map(_.conf).toSet
-      val cands = space.all.filterNot(seen.contains)
-      if (cands.isEmpty) continue = false
-      else {
-        val (bestCand, bestEi) = cands.iterator
-          .map { c => val (m, s) = gp.predict(features(c)); (c, expectedImprovement(m, s, tau)) }
-          .maxBy(_._2)
-        env.evaluate(bestCand)
-        adaptive += 1
-        if (adaptive >= minAdaptive && bestEi < eiThreshold * math.abs(tau)) continue = false
+      val tau = hist.map(_.objective).min
+      nextProbe(fit(hist), hist) match {
+        case None => continue = false
+        case Some((conf, ei)) =>
+          env.evaluate(conf)
+          adaptive += 1
+          if (adaptive >= minAdaptive && ei < eiThreshold * math.abs(tau)) continue = false
       }
     }
 

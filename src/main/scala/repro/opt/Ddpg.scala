@@ -16,10 +16,11 @@ import scala.collection.mutable.ArrayBuffer
   */
 final class Ddpg(space: ConfigSpace,
                  maxNewSamples: Int = 10,
-                 gamma: Double = 0.9,
-                 tau: Double = 0.05,
-                 batch: Int = 16,
                  seed: Long = 7L) {
+
+  private val gamma = 0.9   // discount
+  private val tau = 0.05    // target-network soft-update rate
+  private val batch = 16    // replay minibatch size
 
   private val rnd = new scala.util.Random(seed)
   val stateDim = 11

@@ -17,7 +17,7 @@ final case class MemoryConf(
     cacheCap: Double,
     shuffleCap: Double,
     newRatio: Int,
-    survivorRatio: Int = 8,
+    survivorRatio: Int = MemoryConf.defaultSurvivorRatio,
 ) {
   require(containersPerNode >= 1, s"containersPerNode=$containersPerNode")
   require(taskConcurrency >= 1, s"taskConcurrency=$taskConcurrency")
@@ -45,6 +45,9 @@ final case class MemoryConf(
 }
 
 object MemoryConf {
+  /** The JVM's default SurvivorRatio, which the paper never tunes. */
+  val defaultSurvivorRatio: Int = 8
+
   /** Old-generation capacity: m_o = m_h * NR/(NR+1)  (paper Eq 3). */
   def oldMb(heapMb: Double, newRatio: Int): Double = heapMb * newRatio / (newRatio + 1)
 
@@ -54,7 +57,7 @@ object MemoryConf {
 
   /** Build a configuration for `n` containers per node on `hw`. */
   def of(hw: Hardware, n: Int, p: Int, cacheCap: Double, shuffleCap: Double,
-         newRatio: Int, survivorRatio: Int = 8): MemoryConf =
+         newRatio: Int, survivorRatio: Int = defaultSurvivorRatio): MemoryConf =
     MemoryConf(n, hw.heapMb(n), p, cacheCap, shuffleCap, newRatio, survivorRatio)
 
   /** Amazon EMR MaxResourceAllocation + framework defaults (paper Table 4):

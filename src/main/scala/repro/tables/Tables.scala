@@ -238,32 +238,17 @@ object Tables {
     val (stats, statsMs) = timeMs(StatsGenerator.fromProfile(run.profile))
     val (_, qMs) = timeMs(QModel.derive(stats, run.conf))
 
-    // BO: GP fit + EI argmax over the unseen grid.
+    // BO and GBO: the fit and EI sweep `BayesOpt.tune` runs each iteration.
     val bo = new BayesOpt(space, guide = None, seed = seed)
-    val x = hist.map(o => bo.features(o.conf)).toArray
-    val y = hist.map(_.objective).toArray
-    val gp = new GaussianProcess()
-    val (_, boFit) = timeMs(gp.fit(x, y))
-    val tau = y.min
-    val (_, boProbe) = timeMs {
-      space.all.iterator.map { c =>
-        val (m, s) = gp.predict(bo.features(c)); bo.expectedImprovement(m, s, tau)
-      }.max
-    }
-    val boSize = 8L * hist.size * (x.head.length + 1)
+    val (gp, boFit) = timeMs(bo.fit(hist))
+    val (_, boProbe) = timeMs(bo.nextProbe(gp, hist))
+    val boSize = 8L * hist.size * (bo.features(run.conf).length + 1)
 
-    // GBO: same with the three extra model-Q dimensions.
+    // GBO's features add model Q's three metrics, derived inside its fit.
     val gbo = new BayesOpt(space, guide = Some(stats), seed = seed)
-    val xg = hist.map(o => gbo.features(o.conf)).toArray
-    val gpg = new GaussianProcess()
-    val (_, gboFit0) = timeMs(gpg.fit(xg, y))
-    val gboFit = gboFit0 + qMs
-    val (_, gboProbe) = timeMs {
-      space.all.iterator.map { c =>
-        val (m, s) = gpg.predict(gbo.features(c)); gbo.expectedImprovement(m, s, tau)
-      }.max
-    }
-    val gboSize = 8L * hist.size * (xg.head.length + 1)
+    val (gpg, gboFit) = timeMs(gbo.fit(hist))
+    val (_, gboProbe) = timeMs(gbo.nextProbe(gpg, hist))
+    val gboSize = 8L * hist.size * (gbo.features(run.conf).length + 1)
 
     // DDPG: one replay-batch actor-critic update (fit) + one action (probe).
     val ddpg = new Ddpg(space, seed = seed)

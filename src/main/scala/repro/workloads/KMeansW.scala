@@ -57,8 +57,8 @@ object KMeansW {
 
   /** DuckDB oracle for a 2-center assignment count over `pts(x0, x1)`. */
   def oracleAssignCountSql(c0: Center, c1: Center): String =
-    s"""SELECT CASE WHEN (POW(CAST(x0 AS DOUBLE) - ${c0.x0}, 2) + POW(CAST(x1 AS DOUBLE) - ${c0.x1}, 2))
-       |            <= (POW(CAST(x0 AS DOUBLE) - ${c1.x0}, 2) + POW(CAST(x1 AS DOUBLE) - ${c1.x1}, 2))
+    s"""SELECT CASE WHEN (POW(x0 - ${c0.x0}, 2) + POW(x1 - ${c0.x1}, 2))
+       |            <= (POW(x0 - ${c1.x0}, 2) + POW(x1 - ${c1.x1}, 2))
        |       THEN ${c0.cluster} ELSE ${c1.cluster} END AS assigned, COUNT(*) AS cnt
        |FROM pts GROUP BY 1""".stripMargin
 }

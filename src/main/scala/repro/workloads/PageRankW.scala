@@ -50,11 +50,11 @@ object PageRankW {
     * `edges(src, dst)` table — same join/aggregate semantics as `step`.
     */
   val oracleOneStepSql: String =
-    """WITH nodes AS (SELECT DISTINCT CAST(src AS BIGINT) AS node FROM edges
-      |               UNION SELECT DISTINCT CAST(dst AS BIGINT) FROM edges),
-      |     deg AS (SELECT CAST(src AS BIGINT) AS src, COUNT(*) AS outdeg FROM edges GROUP BY 1),
-      |     contrib AS (SELECT CAST(e.dst AS BIGINT) AS node, SUM(1.0 / d.outdeg) AS c
-      |                 FROM edges e JOIN deg d ON CAST(e.src AS BIGINT) = d.src GROUP BY 1)
+    """WITH nodes AS (SELECT DISTINCT src AS node FROM edges
+      |               UNION SELECT DISTINCT dst FROM edges),
+      |     deg AS (SELECT src, COUNT(*) AS outdeg FROM edges GROUP BY 1),
+      |     contrib AS (SELECT e.dst AS node, SUM(1.0 / d.outdeg) AS c
+      |                 FROM edges e JOIN deg d ON e.src = d.src GROUP BY 1)
       |SELECT n.node AS node, ROUND(0.15 + 0.85 * COALESCE(c.c, 0.0), 6) AS rank
       |FROM nodes n LEFT JOIN contrib c ON n.node = c.node""".stripMargin
 }

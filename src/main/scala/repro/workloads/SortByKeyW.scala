@@ -19,5 +19,5 @@ object SortByKeyW {
     sorted(pairs).limit(limit).select(col("k"), round(col("v"), 6) as "v")
 
   def oracleSql(limit: Int): String =
-    s"SELECT k, ROUND(CAST(v AS DOUBLE), 6) AS v FROM pairs ORDER BY CAST(k AS BIGINT), CAST(v AS DOUBLE) LIMIT $limit"
+    s"SELECT k, ROUND(v, 6) AS v FROM pairs ORDER BY k, v LIMIT $limit"
 }

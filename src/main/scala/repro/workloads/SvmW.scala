@@ -48,7 +48,7 @@ object SvmW {
 
   /** DuckDB oracle over `pts(label, x0, x1, x2)` for the same fixed w. */
   def oracleErrSql(w: Array[Double]): String = {
-    val pred = feats.zip(w).map { case (f, wi) => s"CAST($f AS DOUBLE) * $wi" }.mkString(" + ")
-    s"SELECT SUM(CASE WHEN ($pred) * CAST(label AS DOUBLE) <= 0 THEN 1 ELSE 0 END) AS errs FROM pts"
+    val pred = feats.zip(w).map { case (f, wi) => s"$f * $wi" }.mkString(" + ")
+    s"SELECT SUM(CASE WHEN ($pred) * label <= 0 THEN 1 ELSE 0 END) AS errs FROM pts"
   }
 }

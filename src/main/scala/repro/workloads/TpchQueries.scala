@@ -8,8 +8,7 @@ import repro.SynthData
   * SynthData schema (lineitem, orders, customer, part).
   *
   * Each query returns the Spark DataFrame and the DuckDB SQL that must
-  * produce identical rows (the SynthData tables are registered as VARCHAR in
-  * DuckDB, hence the CASTs). Money sums are rounded to whole units:
+  * produce identical rows. Money sums are rounded to whole units:
   * the different summation orders of the two engines drift at ~1e-1 absolute
   * on these magnitudes, far below the rounding step.
   */
@@ -38,10 +37,10 @@ object TpchQueries {
         round(avg("l_quantity"), 4) as "avg_qty",
         count(lit(1)) as "count_order"),
     """SELECT l_returnflag, l_linestatus,
-      |  ROUND(SUM(CAST(l_quantity AS DOUBLE)), 0) AS sum_qty,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE)), 0) AS sum_base_price,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS sum_disc_price,
-      |  ROUND(AVG(CAST(l_quantity AS DOUBLE)), 4) AS avg_qty,
+      |  ROUND(SUM(l_quantity), 0) AS sum_qty,
+      |  ROUND(SUM(l_extendedprice), 0) AS sum_base_price,
+      |  ROUND(SUM(l_extendedprice * (1 - l_discount)), 0) AS sum_disc_price,
+      |  ROUND(AVG(l_quantity), 4) AS avg_qty,
       |  COUNT(*) AS count_order
       |FROM lineitem WHERE l_shipdate <= '1998-09-01'
       |GROUP BY l_returnflag, l_linestatus""".stripMargin,
@@ -58,7 +57,7 @@ object TpchQueries {
       .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue",
            count(lit(1)) as "cnt"),
     """SELECT c_mktsegment,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue,
+      |  ROUND(SUM(l_extendedprice * (1 - l_discount)), 0) AS revenue,
       |  COUNT(*) AS cnt
       |FROM customer JOIN orders ON c_custkey = o_custkey
       |              JOIN lineitem ON o_orderkey = l_orderkey
@@ -76,7 +75,7 @@ object TpchQueries {
       .groupBy("c_nationkey")
       .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue"),
     """SELECT c_nationkey,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue
+      |  ROUND(SUM(l_extendedprice * (1 - l_discount)), 0) AS revenue
       |FROM customer JOIN orders ON c_custkey = o_custkey
       |              JOIN lineitem ON o_orderkey = l_orderkey
       |WHERE o_orderdate >= '1994-01-01' AND o_orderdate < '1995-01-01'
@@ -90,11 +89,11 @@ object TpchQueries {
       .where(col("l_shipdate") >= lit("1994-01-01") && col("l_shipdate") < lit("1995-01-01") &&
         col("l_discount").between(0.05, 0.07) && col("l_quantity") < 24)
       .agg(round(sum(col("l_extendedprice") * col("l_discount")), 0) as "revenue"),
-    """SELECT ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * CAST(l_discount AS DOUBLE)), 0) AS revenue
+    """SELECT ROUND(SUM(l_extendedprice * l_discount), 0) AS revenue
       |FROM lineitem
       |WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01'
-      |  AND CAST(l_discount AS DOUBLE) BETWEEN 0.05 AND 0.07
-      |  AND CAST(l_quantity AS DOUBLE) < 24""".stripMargin,
+      |  AND l_discount BETWEEN 0.05 AND 0.07
+      |  AND l_quantity < 24""".stripMargin,
     Seq("lineitem"))
 
   /** Q12-lite: line counts per order status for 1994 shipments. */
@@ -119,7 +118,7 @@ object TpchQueries {
       .groupBy("p_type")
       .agg(round(sum(col("l_extendedprice") * (lit(1) - col("l_discount"))), 0) as "revenue"),
     """SELECT p_type,
-      |  ROUND(SUM(CAST(l_extendedprice AS DOUBLE) * (1 - CAST(l_discount AS DOUBLE))), 0) AS revenue
+      |  ROUND(SUM(l_extendedprice * (1 - l_discount)), 0) AS revenue
       |FROM lineitem JOIN part ON l_partkey = p_partkey
       |GROUP BY p_type""".stripMargin,
     Seq("lineitem", "part"))

@@ -36,8 +36,8 @@ class ArbitratorPropertySpec extends AnyFunSuite {
       var plans = 0
       val prop = Prop.forAll(stats(hw), Gen.oneOf(hw.containerChoices)) { (st, n) =>
         val mh = hw.heapMb(n)
-        val ic = Initializer.init(st, n, mh, hw.maxConcurrency(n), RelM.delta)
-        Arbitrator.arbitrate(st, n, mh, ic, RelM.delta) match {
+        val ic = Initializer.init(st, n, mh, hw.maxConcurrency(n))
+        Arbitrator.arbitrate(st, n, mh, ic) match {
           case None => Prop.passed // rejected: no safe plan at this size
           case Some(a) =>
             plans += 1
