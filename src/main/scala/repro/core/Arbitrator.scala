@@ -17,11 +17,7 @@ final case class Arbitrated(
     nr: Int,
     utility: Double,
     iterations: Int,
-) {
-  def cacheCap: Double = mcMb / mhMb
-  /** Shuffle Capacity is a heap fraction for the whole pool (p tasks). */
-  def shuffleCap: Double = p * msMb / mhMb
-}
+)
 
 /** Arbitrator (paper Algorithm 1): trims the Initializer's independent
   * optima until the combined long-term demand fits Old, by round-robining

@@ -63,6 +63,8 @@ final class Ddpg(space: ConfigSpace,
     if (replay.size < 4) return
     val (gwC, gbC) = critic.zeroGrads()
     val (gwA, gbA) = actor.zeroGrads()
+    // Scratch for the ∂Q/∂a pass: backward's input gradient never reads it.
+    val (gwQ, gbQ) = critic.zeroGrads()
     val n = math.min(batch, replay.size)
     var k = 0
     while (k < n) {
@@ -78,7 +80,7 @@ final class Ddpg(space: ConfigSpace,
       // Actor: ascend Q(s, μ(s)) — backprop −∂Q/∂a through the actor.
       val at = actor.forward(tr.s)
       val cQ = critic.forward(tr.s ++ at.output)
-      val gIn = critic.backward(cQ, Array(-1.0 / n), critic.zeroGrads()._1, critic.zeroGrads()._2)
+      val gIn = critic.backward(cQ, Array(-1.0 / n), gwQ, gbQ)
       actor.backward(at, gIn.drop(stateDim), gwA, gbA)
       k += 1
     }

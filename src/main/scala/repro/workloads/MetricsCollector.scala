@@ -1,7 +1,9 @@
 package repro.workloads
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
+import java.util.UUID
+import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.{AtomicLong, LongAdder}
 
 /** Measured resource footprint of one real Spark workload execution — the
@@ -31,6 +33,12 @@ final class MetricsCollector extends SparkListener {
   private val spill = new LongAdder
   private val peak = new AtomicLong(0)
   private val input = new LongAdder
+  private[workloads] val marker = UUID.randomUUID().toString
+  private[workloads] val markerSeen = new CountDownLatch(1)
+
+  override def onJobStart(js: SparkListenerJobStart): Unit =
+    if (js.properties != null && js.properties.getProperty(MetricsCollector.MarkerKey) == marker)
+      markerSeen.countDown()
 
   override def onTaskEnd(te: SparkListenerTaskEnd): Unit = {
     val m = te.taskMetrics
@@ -52,22 +60,26 @@ final class MetricsCollector extends SparkListener {
 }
 
 object MetricsCollector {
-  /** Run `body` with a collector attached and return (result, footprint). */
+  private val MarkerKey = "repro.metrics.marker"
+  private val DrainTimeoutS = 120L
+
+  /** Run `body` with a collector attached and return (result, footprint).
+    * The footprint covers every task-end posted before `body` returned: a
+    * zero-partition marker job posts its start straight to the listener bus
+    * (`DAGScheduler.submitJob`) after them, and the bus delivers one
+    * listener's events in order.
+    */
   def profile[T](spark: SparkSession)(body: => T): (T, WorkloadFootprint) = {
+    val sc = spark.sparkContext
     val mc = new MetricsCollector
-    spark.sparkContext.addSparkListener(mc)
+    sc.addSparkListener(mc)
     try {
       val r = body
-      // The listener bus is async and private; poll until the task counter
-      // stabilizes so queued task-end events are drained.
-      var last = -1L
-      var spins = 0
-      while (mc.footprint.tasks != last && spins < 50) {
-        last = mc.footprint.tasks
-        Thread.sleep(100)
-        spins += 1
-      }
+      sc.setLocalProperty(MarkerKey, mc.marker)
+      try sc.emptyRDD[Int].count() finally sc.setLocalProperty(MarkerKey, null)
+      if (!mc.markerSeen.await(DrainTimeoutS, TimeUnit.SECONDS))
+        throw new IllegalStateException(s"listener bus did not deliver the marker job within $DrainTimeoutS s")
       (r, mc.footprint)
-    } finally spark.sparkContext.removeSparkListener(mc)
+    } finally sc.removeSparkListener(mc)
   }
 }

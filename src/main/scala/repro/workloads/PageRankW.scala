@@ -15,6 +15,10 @@ object PageRankW {
   def outDegrees(edges: DataFrame): DataFrame =
     edges.groupBy("src").agg(count(lit(1)) as "outDeg")
 
+  /** The node set: every node that appears as a source or a destination. */
+  def nodes(edges: DataFrame): DataFrame =
+    edges.select(col("src") as "node").union(edges.select(col("dst") as "node")).distinct()
+
   /** One PageRank iteration: contributions flow along edges, ranks update to
     * (1−d) + d·Σ contribs (GraphX's formulation, no dangling redistribution).
     */
@@ -25,26 +29,19 @@ object PageRankW {
       .select(col("dst") as "node", (col("rank") / col("outDeg")) as "contrib")
       .groupBy("node")
       .agg(sum("contrib") as "contrib")
-    ranks.select(col("node"))
+    nodes(edges)
       .join(contribs, Seq("node"), "left")
       .select(col("node"),
         (lit(1.0 - damping) + lit(damping) * coalesce(col("contrib"), lit(0.0))) as "rank")
   }
 
   /** Run `iters` iterations from uniform ranks over the edge set's nodes.
-    * The edge DataFrame is cached across iterations, mirroring the
-    * benchmark's cached coalesced edge partitions (Sec 3.5).
+    * Lazy; the result is cached. `edges` is best left uncached: Spark 4.1's
+    * adaptive execution then reuses each step's edge, degree and node shuffles.
     */
-  def run(edges: DataFrame, iters: Int): DataFrame = {
-    val cached = edges.cache()
-    try {
-      val nodes = cached.select(col("src") as "node")
-        .union(cached.select(col("dst") as "node")).distinct()
-      var ranks = nodes.select(col("node"), lit(1.0) as "rank")
-      for (_ <- 1 to iters) ranks = step(cached, ranks)
-      ranks.cache()
-    } finally { cached.unpersist(); () }
-  }
+  def run(edges: DataFrame, iters: Int): DataFrame =
+    (1 to iters).foldLeft(nodes(edges).select(col("node"), lit(1.0) as "rank"))((r, _) => step(edges, r))
+      .cache()
 
   /** DuckDB oracle for ONE iteration from uniform rank 1.0, over an
     * `edges(src, dst)` table — same join/aggregate semantics as `step`.

@@ -5,12 +5,10 @@ import org.apache.spark.sql.functions._
 
 class PageRankSpec extends SparkSpec {
 
-  private lazy val edges = SynthData.edges(spark, nEdges = 4000, nNodes = 300).cache()
+  private lazy val edges = SynthData.edges(spark, nEdges = 4000, nNodes = 300)
 
   test("one PageRank iteration matches the DuckDB oracle") {
-    val nodes = edges.select(col("src") as "node")
-      .union(edges.select(col("dst") as "node")).distinct()
-    val ranks = nodes.select(col("node"), lit(1.0) as "rank")
+    val ranks = PageRankW.nodes(edges).select(col("node"), lit(1.0) as "rank")
     val stepped = PageRankW.step(edges, ranks)
       .select(col("node"), round(col("rank"), 6) as "rank")
     Oracle.assertEquivalent(stepped, PageRankW.oracleOneStepSql, "edges" -> edges)
@@ -24,22 +22,25 @@ class PageRankSpec extends SparkSpec {
     ranks.unpersist(); ()
   }
 
-  test("iteration converges: successive rank vectors stop moving") {
-    val nodes = edges.select(col("src") as "node")
-      .union(edges.select(col("dst") as "node")).distinct().cache()
-    var ranks = nodes.select(col("node"), lit(1.0) as "rank")
+  test("iteration contracts: each step's L1 delta is at most d times the previous one") {
+    var ranks = PageRankW.nodes(edges).select(col("node"), lit(1.0) as "rank")
     var prevDelta = Double.MaxValue
     for (i <- 1 to 8) {
       val next = PageRankW.step(edges, ranks)
       if (i >= 6) {
         val delta = next.as("a").join(ranks.as("b"), "node")
           .select(sum(abs(col("a.rank") - col("b.rank"))) as "d").collect()(0).getDouble(0)
-        assert(delta < prevDelta + 1e-6)
+        assert(delta <= PageRankW.damping * prevDelta + 1e-6)
         prevDelta = delta
       }
       ranks = next
     }
-    assert(prevDelta < 5.0)
+  }
+
+  test("run's analysed plan at 8 steps has under 3x the lines it has at 4 (no doubling per step)") {
+    def planLines(iters: Int) =
+      PageRankW.run(edges, iters).unpersist().queryExecution.analyzed.toString.linesIterator.size
+    assert(planLines(8) < 3 * planLines(4))
   }
 
   test("zipf-skewed destinations earn higher ranks than the median node") {
